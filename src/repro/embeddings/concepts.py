@@ -14,6 +14,7 @@ the benchmarks is built in :mod:`repro.corpus.vocabulary`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.text.analyzer import ItalianAnalyzer
@@ -69,14 +70,30 @@ class ConceptLexicon:
             analyzer = ItalianAnalyzer(remove_stopwords=True, apply_stemming=False)
         self._analyzer = analyzer
         self._stem = analyzer.stem_fn if analyzer.stem_fn is not None else stem
+        self._signature: tuple[ItalianAnalyzer, bytes] = (analyzer, b"")
         for concept in concepts or []:
             self.add(concept)
+
+    @property
+    def signature(self) -> tuple[ItalianAnalyzer, bytes]:
+        """Content signature: equal for lexicons that map text identically.
+
+        The lexicon's analyzer plus a digest chained over every concept in
+        registration order, recomputed by :meth:`add`.  Caches of derived
+        text features key on it instead of on object identity, so deep
+        copies and equal lexicons share entries and a grown lexicon never
+        reads an older one's.
+        """
+        return self._signature
 
     def add(self, concept: Concept) -> None:
         """Register *concept* and index all its surface forms."""
         if concept.concept_id in self._concepts:
             raise ValueError(f"duplicate concept id: {concept.concept_id}")
         self._concepts[concept.concept_id] = concept
+        digest = hashlib.blake2b(self._signature[1], digest_size=16)
+        digest.update(repr(concept).encode("utf-8"))
+        self._signature = (self._analyzer, digest.digest())
         for form in concept.forms:
             words = self._analyzer.analyze(form.lower())
             if not words:
@@ -128,15 +145,36 @@ class ConceptOverlap:
     score: float = 0.0
 
 
+def fingerprint_norm(weights: dict[str, float]) -> float:
+    """Euclidean norm of a concept fingerprint, summed in insertion order."""
+    return sum(w * w for w in weights.values()) ** 0.5
+
+
+def fingerprint_overlap(
+    weights_a: dict[str, float],
+    norm_a: float,
+    weights_b: dict[str, float],
+    norm_b: float,
+) -> ConceptOverlap:
+    """Cosine-style overlap of two concept fingerprints with their norms.
+
+    The dot product runs over ``weights_a.keys() & weights_b.keys()``,
+    whose iteration order follows the dicts' insertion order; callers that
+    rebuild a fingerprint from stored items keep that order, and so get
+    the same float to the last bit.
+    """
+    if not weights_a or not weights_b:
+        return ConceptOverlap()
+    shared = {cid: min(weights_a[cid], weights_b[cid]) for cid in weights_a.keys() & weights_b.keys()}
+    dot = sum(weights_a[cid] * weights_b[cid] for cid in shared)
+    score = dot / (norm_a * norm_b) if norm_a and norm_b else 0.0
+    return ConceptOverlap(shared=shared, score=score)
+
+
 def concept_overlap(lexicon: ConceptLexicon, a: str, b: str) -> ConceptOverlap:
     """Cosine-style overlap of the concept fingerprints of *a* and *b*."""
     weights_a = lexicon.concepts_in_text(a)
     weights_b = lexicon.concepts_in_text(b)
-    if not weights_a or not weights_b:
-        return ConceptOverlap()
-    shared = {cid: min(weights_a[cid], weights_b[cid]) for cid in weights_a.keys() & weights_b.keys()}
-    norm_a = sum(w * w for w in weights_a.values()) ** 0.5
-    norm_b = sum(w * w for w in weights_b.values()) ** 0.5
-    dot = sum(weights_a[cid] * weights_b[cid] for cid in shared)
-    score = dot / (norm_a * norm_b) if norm_a and norm_b else 0.0
-    return ConceptOverlap(shared=shared, score=score)
+    return fingerprint_overlap(
+        weights_a, fingerprint_norm(weights_a), weights_b, fingerprint_norm(weights_b)
+    )

@@ -5,13 +5,17 @@ chunk of the retrieval context, keep the **maximum** score, and invalidate
 the answer when that maximum falls below a threshold heuristically set to
 **0.15** on real user questions.  An answer that shares so little surface
 material with every retrieved chunk cannot be grounded in them.
+
+The answer is tokenized once per check; each chunk's tokens come from the
+shared feature store (:func:`repro.search.features.chunk_surface_tokens`).
 """
 
 from __future__ import annotations
 
 from repro.guardrails.base import GuardrailVerdict
+from repro.search.features import chunk_surface_tokens
 from repro.search.results import RetrievedChunk
-from repro.text.similarity import rouge_l
+from repro.text.similarity import rouge_l_tokens, surface_tokens
 
 #: The production threshold from the paper.
 DEFAULT_ROUGE_THRESHOLD = 0.15
@@ -39,7 +43,11 @@ class RougeGuardrail:
         """Max ROUGE-L of *answer* against any context chunk."""
         if not context:
             return 0.0
-        return max(rouge_l(answer, chunk.record.content) for chunk in context)
+        answer_tokens = surface_tokens(answer)
+        return max(
+            rouge_l_tokens(answer_tokens, chunk_surface_tokens(chunk.record.content)).fmeasure
+            for chunk in context
+        )
 
     def check(
         self, question: str, answer: str, context: list[RetrievedChunk]

@@ -15,15 +15,22 @@ blends
 Scores are scaled to ``[0, max_score]`` with Azure's 0–4 range as default;
 the final hybrid relevance is ``RRF sum + reranker score``, as the paper
 states.
+
+Everything the score reads of a chunk comes from
+:func:`repro.search.features.rerank_features`, computed once per chunk text
+and shared across queries; the query's fingerprint and term set are computed
+once per :meth:`SemanticReranker.rerank` call.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 
-from repro.embeddings.concepts import ConceptLexicon, concept_overlap
+from repro.embeddings.concepts import ConceptLexicon, fingerprint_norm, fingerprint_overlap
 from repro.obs import spans
 from repro.obs.trace import RequestContext, null_context
+from repro.search.features import rerank_features, weights
 from repro.search.results import RetrievedChunk
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 
@@ -72,16 +79,7 @@ class SemanticReranker:
 
     def score(self, query: str, result: RetrievedChunk) -> float:
         """Semantic relevance of *result* to *query* in [0, max_score]."""
-        title_agreement = concept_overlap(self._lexicon, query, result.record.title).score
-        content_agreement = concept_overlap(self._lexicon, query, result.record.content).score
-        lexical = self._lexical_overlap(query, result.record.content)
-        blended = (
-            self._title_weight * title_agreement
-            + self._content_weight * content_agreement
-            + self._lexical_weight * lexical
-        )
-        score = self._max_score * min(max(blended, 0.0), 1.0)
-        return max(0.0, score + self._noise * _hash_noise(query, result.record.chunk_id))
+        return self._scorer(query)(result)
 
     def rerank(
         self,
@@ -102,9 +100,10 @@ class SemanticReranker:
             return self._rerank(query, results)
 
     def _rerank(self, query: str, results: list[RetrievedChunk]) -> list[RetrievedChunk]:
+        score = self._scorer(query)
         rescored = []
         for result in results:
-            reranker_score = self.score(query, result)
+            reranker_score = score(result)
             components = dict(result.components)
             components["rerank_adjust"] = reranker_score
             rescored.append(
@@ -117,9 +116,33 @@ class SemanticReranker:
         rescored.sort(key=lambda r: (-r.score, r.record.chunk_id))
         return rescored
 
-    def _lexical_overlap(self, query: str, content: str) -> float:
-        query_terms = self._analyzer.analyze_unique(query)
-        if not query_terms:
-            return 0.0
-        content_terms = self._analyzer.analyze_unique(content)
-        return len(query_terms & content_terms) / len(query_terms)
+    def _scorer(self, query: str) -> Callable[[RetrievedChunk], float]:
+        """The score function for *query*, with the query side computed once."""
+        lexicon, analyzer = self._lexicon, self._analyzer
+        query_concepts = lexicon.concepts_in_text(query)
+        query_norm = fingerprint_norm(query_concepts)
+        query_terms = analyzer.analyze_unique(query)
+
+        def score(result: RetrievedChunk) -> float:
+            record = result.record
+            features = rerank_features(lexicon, analyzer, record.title, record.content)
+            title_agreement = fingerprint_overlap(
+                query_concepts, query_norm, weights(features.title_concepts), features.title_norm
+            ).score
+            content_agreement = fingerprint_overlap(
+                query_concepts, query_norm, weights(features.content_concepts), features.content_norm
+            ).score
+            lexical = (
+                len(query_terms & features.content_terms) / len(query_terms)
+                if query_terms
+                else 0.0
+            )
+            blended = (
+                self._title_weight * title_agreement
+                + self._content_weight * content_agreement
+                + self._lexical_weight * lexical
+            )
+            scaled = self._max_score * min(max(blended, 0.0), 1.0)
+            return max(0.0, scaled + self._noise * _hash_noise(query, record.chunk_id))
+
+        return score

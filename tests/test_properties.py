@@ -14,12 +14,23 @@ from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.text.similarity import lcs_length, rouge_l
 from repro.text.tokenizer import TokenCounter, word_tokenize
+from tests.oracles import lcs_length_dp
 
 # -- strategies ----------------------------------------------------------------
 
 words = st.text(alphabet="abcdefghilmnoprstuvz", min_size=1, max_size=10)
 texts = st.lists(words, min_size=0, max_size=30).map(" ".join)
 token_lists = st.lists(words, min_size=0, max_size=25)
+# Few distinct tokens force heavy repetition; lengths straddle the 64- and
+# 128-bit word boundaries of the bit-parallel LCS row.
+repetitive_lists = st.lists(st.sampled_from(["a", "b", "c", "la", "di"]), min_size=0, max_size=200)
+long_lists = st.integers(min_value=0, max_value=3).flatmap(
+    lambda extra: st.lists(
+        st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]),
+        min_size=(0, 65, 129, 150)[extra],
+        max_size=(64, 128, 160, 300)[extra],
+    )
+)
 
 
 # -- text ------------------------------------------------------------------------
@@ -43,6 +54,32 @@ class TestTextProperties:
         length = lcs_length(a, b)
         assert length == lcs_length(b, a)
         assert length <= min(len(a), len(b))
+
+    @given(token_lists, token_lists)
+    @settings(max_examples=100)
+    def test_lcs_bit_parallel_equals_dp(self, a, b):
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+
+    @given(repetitive_lists, repetitive_lists)
+    @settings(max_examples=100)
+    def test_lcs_bit_parallel_equals_dp_repetitive(self, a, b):
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+
+    @given(long_lists, long_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_lcs_bit_parallel_equals_dp_long(self, a, b):
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+
+    def test_lcs_bit_parallel_edge_lengths(self):
+        for n in (0, 1, 63, 64, 65, 127, 128, 129, 200):
+            same = ["x"] * n
+            assert lcs_length(same, same) == n
+            assert lcs_length(same, ["x"] * (n // 2)) == n // 2
+            assert lcs_length(same, ["y"] * n) == 0
+            mixed = [("x", "y", "x", "z")[i % 4] for i in range(n)]
+            assert lcs_length(mixed, list(reversed(mixed))) == lcs_length_dp(
+                mixed, list(reversed(mixed))
+            )
 
     @given(token_lists, token_lists, token_lists)
     @settings(max_examples=40)
